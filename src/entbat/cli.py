@@ -30,7 +30,7 @@ from .dilution import (
     embezzlement_to_csv,
     self_dilution_curve,
 )
-from .errors import EntbatError
+from .errors import EntbatError, ParseError
 from .measures import MEASURES, OptimizerOptions, evaluate
 from .states import load_state, save_state
 from .thermo import (
@@ -181,7 +181,10 @@ def _cmd_dilution_curve(args) -> int:
 
 
 def _cmd_embezzle_demo(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError:
+        raise ParseError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     _emit(embezzlement_to_csv(embezzlement_demo(dims)), args.out)
     return 0
 

@@ -37,7 +37,7 @@ class ValidationError(EntbatError):
 
 
 class ParseError(EntbatError):
-    """A state or scenario file could not be decoded."""
+    """A state or scenario file, or a command-line value, could not be decoded."""
 
     kind = "parse"
 

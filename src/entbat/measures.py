@@ -110,8 +110,7 @@ class SeparableAnsatz:
 
     def separable_matrix(self) -> np.ndarray:
         """Assemble sum_i w_i |a_i b_i><a_i b_i|."""
-        v = _product_vectors(self.vecs_a, self.vecs_b)
-        return (v.T * self.weights) @ v.conj()
+        return _sigma_from(self.weights, _product_vectors(self.vecs_a, self.vecs_b))
 
 
 @dataclass(frozen=True)
@@ -235,25 +234,32 @@ def product_overlap(state, cert: ProductCertificate) -> float:
 
 def _product_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = a.shape[0]
-    return np.einsum("ka,kb->kab", a, b).reshape(k, a.shape[1] * b.shape[1])
+    return (a[:, :, None] * b[:, None, :]).reshape(k, a.shape[1] * b.shape[1])
 
 
 def _sigma_from(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v.T * w) @ v.conj()
 
 
-def _floored_kl(rho: np.ndarray, c_rho: float, sigma: np.ndarray) -> float:
-    """S(rho || sigma) in bits with sigma eigenvalues floored at SIGMA_FLOOR."""
-    s, u = np.linalg.eigh(sigma)
-    s = np.clip(s, SIGMA_FLOOR, None)
-    r_diag = np.real(np.einsum("ji,jk,ki->i", u.conj(), rho, u))
-    return float(c_rho - r_diag @ np.log2(s))
+def _quad_diag(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Real diagonal of u^H m u, i.e. <u_i|m|u_i> for each column u_i of u."""
+    return np.real(np.sum(u.conj() * (m @ u), axis=0))
 
 
-def _kl_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Gradient of S(rho || sigma) with respect to sigma (bits)."""
-    s, u = np.linalg.eigh(sigma)
+def _floored_kl(rho: np.ndarray, c_rho: float, w: np.ndarray, v: np.ndarray):
+    """S(rho || sigma) in bits at sigma = sum_k w_k |v_k><v_k|.
+
+    The eigenvalues of sigma are floored at SIGMA_FLOOR.  Also returns
+    sigma's floored eigenpairs, from which :func:`_kl_gradient` works.
+    """
+    s, u = np.linalg.eigh(_sigma_from(w, v))
     s = np.clip(s, SIGMA_FLOOR, None)
+    return float(c_rho - _quad_diag(rho, u) @ np.log2(s)), (s, u)
+
+
+def _kl_gradient(rho: np.ndarray, eig) -> np.ndarray:
+    """Gradient of S(rho || sigma) with respect to sigma (bits), from sigma's eigenpairs."""
+    s, u = eig
     r = u.conj().T @ rho @ u
     ds = s[:, None] - s[None, :]
     avg = 0.5 * (s[:, None] + s[None, :])
@@ -262,6 +268,23 @@ def _kl_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     ratio = np.where(far, (logs[:, None] - logs[None, :]) / np.where(far, ds, 1.0), 1.0 / avg)
     grad_ln = u @ (ratio * r) @ u.conj().T
     return -grad_ln / math.log(2.0)
+
+
+def _weight_gradient(v: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """<v_k|grad|v_k> for each product vector, given gv = v @ grad.T."""
+    return np.real(np.sum(v.conj() * gv, axis=1))
+
+
+def _local_gradients(gv: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Gradients of sum_k w_k <a_k b_k|grad|a_k b_k> in a_k and b_k.
+
+    Row k of gv = v @ grad.T is grad |a_k b_k>; as a dA x dB matrix G_k the
+    two partial contractions are G_k conj(b_k) and conj(a_k) G_k.
+    """
+    g = gv.reshape(a.shape[0], a.shape[1], b.shape[1])
+    ga = 2.0 * w[:, None] * (g @ b.conj()[:, :, None])[:, :, 0]
+    gb = 2.0 * w[:, None] * (a.conj()[:, None, :] @ g)[:, 0, :]
+    return ga, gb
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -273,10 +296,8 @@ def ansatz_objective(state, ansatz: SeparableAnsatz) -> float:
     s = _as_bipartite(state)
     if ansatz.dims != (s.dim_a, s.dim_b):
         raise ShapeError(f"ansatz dims {ansatz.dims} do not match state ({s.dim_a}, {s.dim_b})")
-    p = np.clip(np.linalg.eigvalsh(s.matrix), 0.0, None)
-    p = p[p > EIG_CUTOFF]
-    c_rho = float(np.sum(p * np.log2(p)))
-    return _floored_kl(s.matrix, c_rho, ansatz.separable_matrix())
+    v = _product_vectors(ansatz.vecs_a, ansatz.vecs_b)
+    return _floored_kl(s.matrix, -von_neumann_entropy(s), ansatz.weights, v)[0]
 
 
 def dephasing_upper_bound(state) -> float:
@@ -289,9 +310,7 @@ def dephasing_upper_bound(state) -> float:
     """
     s = _as_bipartite(state)
     rho = s.matrix
-    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    p = p[p > EIG_CUTOFF]
-    s_rho = float(-np.sum(p * np.log2(p)))
+    s_rho = von_neumann_entropy(s)
 
     def dephased_entropy(diag: np.ndarray) -> float:
         d = np.clip(np.real(diag), 0.0, None)
@@ -302,16 +321,19 @@ def dephasing_upper_bound(state) -> float:
     _, ua = np.linalg.eigh(partial_trace(s, "a").matrix)
     _, ub = np.linalg.eigh(partial_trace(s, "b").matrix)
     u = np.kron(ua, ub)
-    v2 = dephased_entropy(np.einsum("ji,jk,ki->i", u.conj(), rho, u)) - s_rho
+    v2 = dephased_entropy(_quad_diag(rho, u)) - s_rho
     return max(0.0, min(v1, v2))
 
 
-def _descend(rho, c_rho, dims, w, a, b, max_iters, tol):
-    """Alternating exponentiated-gradient / sphere descent from one start."""
-    da, db = dims
-    t4shape = (da, db, da, db)
+def _descend(rho, c_rho, w, a, b, max_iters, tol):
+    """Alternating exponentiated-gradient / sphere descent from one start.
+
+    Each accepted point keeps its eigendecomposition of sigma, so the
+    next gradient costs no further eigh; a weight step that fails to move
+    keeps the gradient as well.
+    """
     v = _product_vectors(a, b)
-    f = _floored_kl(rho, c_rho, _sigma_from(w, v))
+    f, eig = _floored_kl(rho, c_rho, w, v)
     hist = [f]
     converged = False
     iters = 0
@@ -319,10 +341,10 @@ def _descend(rho, c_rho, dims, w, a, b, max_iters, tol):
         iters = it + 1
         moved = False
 
-        grad = _kl_gradient(rho, _sigma_from(w, v))
+        gv = v @ _kl_gradient(rho, eig).T
 
         # (i) exponentiated-gradient step on the weights.
-        gw = np.real(np.einsum("kx,xy,ky->k", v.conj(), grad, v))
+        gw = _weight_gradient(v, gv)
         gw = gw - gw.min()
         step = 1.0
         for _ in range(14):
@@ -330,29 +352,26 @@ def _descend(rho, c_rho, dims, w, a, b, max_iters, tol):
             z = float(w_try.sum())
             if z > 0.0:
                 w_try /= z
-                f_try = _floored_kl(rho, c_rho, _sigma_from(w_try, v))
+                f_try, eig_try = _floored_kl(rho, c_rho, w_try, v)
                 if f_try < f - 1e-15:
-                    w, f, moved = w_try, f_try, True
+                    w, f, eig, moved = w_try, f_try, eig_try, True
                     break
             step *= 0.5
 
         # (ii) projected gradient step on the local unit vectors.
-        grad = _kl_gradient(rho, _sigma_from(w, v))
-        t4 = grad.reshape(t4shape)
-        ma = np.einsum("ku,xuyv,kv->kxy", b.conj(), t4, b)
-        mb = np.einsum("kx,xuyv,ky->kuv", a.conj(), t4, a)
-        ga = 2.0 * w[:, None] * np.einsum("kxy,ky->kx", ma, a)
-        gb = 2.0 * w[:, None] * np.einsum("kuv,kv->ku", mb, b)
-        ga -= np.real(np.einsum("kx,kx->k", a.conj(), ga))[:, None] * a
-        gb -= np.real(np.einsum("ku,ku->k", b.conj(), gb))[:, None] * b
+        if moved:
+            gv = v @ _kl_gradient(rho, eig).T
+        ga, gb = _local_gradients(gv, w, a, b)
+        ga -= np.real(np.sum(a.conj() * ga, axis=1))[:, None] * a
+        gb -= np.real(np.sum(b.conj() * gb, axis=1))[:, None] * b
         step = 1.0
         for _ in range(14):
             a_try = _normalize_rows(a - step * ga)
             b_try = _normalize_rows(b - step * gb)
             v_try = _product_vectors(a_try, b_try)
-            f_try = _floored_kl(rho, c_rho, _sigma_from(w, v_try))
+            f_try, eig_try = _floored_kl(rho, c_rho, w, v_try)
             if f_try < f - 1e-15:
-                a, b, v, f, moved = a_try, b_try, v_try, f_try, True
+                a, b, v, f, eig, moved = a_try, b_try, v_try, f_try, eig_try, True
                 break
             step *= 0.5
 
@@ -399,8 +418,7 @@ def _initial_points(s: BipartiteState, k: int, restarts: int, seed: int):
         _, ub = np.linalg.eigh(partial_trace(s, "b").matrix)
         rows_a = np.repeat(ua.T, db, axis=0)
         rows_b = np.tile(ub.T, (da, 1))
-        prod = _product_vectors(rows_a, rows_b)
-        wts = np.real(np.einsum("kx,xy,ky->k", prod.conj(), rho, prod))
+        wts = _quad_diag(rho, _product_vectors(rows_a, rows_b).T)
         starts.append(_init_from_basis(wts, rows_a, rows_b, k, da, db, rng))
 
     idx = 2
@@ -430,9 +448,7 @@ def relative_entropy_of_entanglement(state, opts: OptimizerOptions | None = None
         raise CapacityError(f"relative-entropy optimizer capped at dimension {ER_MAX_DIM}, got {s.dim}")
     k = (s.dim_a * s.dim_b) ** 2
     rho = s.matrix
-    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    p = p[p > EIG_CUTOFF]
-    c_rho = float(np.sum(p * np.log2(p)))
+    c_rho = -von_neumann_entropy(s)
 
     starts = []
     if opts.warm_start is not None:
@@ -445,9 +461,7 @@ def relative_entropy_of_entanglement(state, opts: OptimizerOptions | None = None
     best = None
     total_iters = 0
     for run_idx, (w, a, b) in enumerate(starts):
-        f, w, a, b, iters, conv = _descend(
-            rho, c_rho, (s.dim_a, s.dim_b), w, a, b, opts.max_iters, opts.tol
-        )
+        f, w, a, b, iters, conv = _descend(rho, c_rho, w, a, b, opts.max_iters, opts.tol)
         total_iters += iters
         if best is None or f < best[0]:
             best = (f, w, a, b, conv)

@@ -284,6 +284,12 @@ class TestCsvCommands:
         assert lines[1].startswith("2,0.5,")
         assert lines[2] == "5,0.5,2,2,0"
 
+    def test_embezzle_demo_bad_dims_is_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "embezzle-demo", "--dims", "x,2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parse:")
+
 
 class TestSearchPairCommand:
     def test_finds_and_saves_pair(self, capsys, tmp_path):
