@@ -18,7 +18,6 @@ from .battery import (
     conversion_rate,
     feasible,
     multi_measure_bound,
-    rate_cycle_product,
     resource_balance_check,
     search_nonequivalent_pair,
     swap_protocol,

@@ -10,7 +10,7 @@ approximation from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -129,17 +129,30 @@ class BalanceReport:
 
 @dataclass(frozen=True, eq=False)
 class PairSearchResult:
-    """Pair found by :func:`search_nonequivalent_pair` plus its values."""
+    """Pair found by :func:`search_nonequivalent_pair`, its values and their rate bound."""
 
     rho: BipartiteState
     sigma: BipartiteState
     values_rho: tuple[float, float]
     values_sigma: tuple[float, float]
     samples_used: int
+    bound: MultiMeasureBound
 
 
 def _values(rho, sigma, measure_id: str, opts: OptimizerOptions | None):
     return evaluate(measure_id, rho, opts).value, evaluate(measure_id, sigma, opts).value
+
+
+def _verdict(e_rho: float, e_sigma: float, value_slack: float) -> str:
+    """Verdict from the two values; each value carries ``value_slack``."""
+    band = VALUE_RTOL * max(1.0, abs(e_rho), abs(e_sigma))
+    slack = 2.0 * value_slack
+    diff = e_rho - e_sigma
+    if slack > 0.0 and abs(diff) <= band + slack:
+        return UNDECIDED
+    if diff >= -band:
+        return FEASIBLE
+    return INFEASIBLE
 
 
 def feasible(rho, sigma, measure_id: str, opts: OptimizerOptions | None = None) -> str:
@@ -150,15 +163,7 @@ def feasible(rho, sigma, measure_id: str, opts: OptimizerOptions | None = None) 
     slack returns ``"undecided"``.
     """
     spec = measure_spec(measure_id)
-    e_rho, e_sigma = _values(rho, sigma, measure_id, opts)
-    band = VALUE_RTOL * max(1.0, abs(e_rho), abs(e_sigma))
-    slack = 2.0 * spec.value_slack
-    diff = e_rho - e_sigma
-    if slack > 0.0 and abs(diff) <= band + slack:
-        return UNDECIDED
-    if diff >= -band:
-        return FEASIBLE
-    return INFEASIBLE
+    return _verdict(*_values(rho, sigma, measure_id, opts), spec.value_slack)
 
 
 def _padded_pair(rho: BipartiteState, sigma: BipartiteState):
@@ -179,7 +184,9 @@ def swap_protocol(rho, sigma, measure_id: str, opts: OptimizerOptions | None = N
     exactly in sigma while the battery keeps rho.  Raises
     :class:`InfeasibleError` unless the conversion is licensed.
     """
-    verdict = feasible(rho, sigma, measure_id, opts)
+    spec = measure_spec(measure_id)
+    e_rho, e_sigma = _values(rho, sigma, measure_id, opts)
+    verdict = _verdict(e_rho, e_sigma, spec.value_slack)
     if verdict != FEASIBLE:
         raise InfeasibleError(f"conversion is {verdict} under {measure_id}")
     if isinstance(rho, PureSchmidtState):
@@ -197,13 +204,12 @@ def swap_protocol(rho, sigma, measure_id: str, opts: OptimizerOptions | None = N
         raise ValidationError(f"swap relabeling missed the target by {exactness:.3e}")
 
     final_system = partial_trace(final, keep=[0])
-    e_before, e_after = _values(sigma, rho, measure_id, opts)
     return ProtocolReport(
         initial_global=initial,
         final_global=final,
         battery_measure=measure_id,
-        e_battery_before=e_before,
-        e_battery_after=e_after,
+        e_battery_before=e_sigma,
+        e_battery_after=e_rho,
         feasible=True,
         final_system_trace_distance=trace_distance(final_system, sigma),
     )
@@ -255,41 +261,25 @@ def conversion_rate(rho, sigma, measure_id: str, opts: OptimizerOptions | None =
     )
 
 
-ADDITIVE_RATE_MEASURES = ("log-negativity", "entropy-of-entanglement", "entanglement-cost-pure")
-
-
 def zero_error_rate(rho, sigma, measure_id: str, opts: OptimizerOptions | None = None) -> RatePlan:
-    """Single-shot exact rate; only defined for the declared additive measures."""
-    if measure_id not in ADDITIVE_RATE_MEASURES:
-        raise ApplicabilityError(
-            f"zero-error rate needs an additive measure {ADDITIVE_RATE_MEASURES}, got {measure_id!r}"
-        )
-    plan = conversion_rate(rho, sigma, measure_id, opts)
-    return RatePlan(
-        measure=plan.measure,
-        rate=plan.rate,
-        m=plan.m,
-        n=plan.n,
-        epsilon_gap=plan.epsilon_gap,
-        exact=plan.exact,
-        zero_error=True,
-    )
-
-
-def rate_cycle_product(rho, sigma, measure_id: str, opts: OptimizerOptions | None = None) -> float:
-    """rate(rho->sigma) * rate(sigma->rho); 1 whenever both are defined."""
-    e_rho, e_sigma = _values(rho, sigma, measure_id, opts)
-    if e_sigma <= TARGET_RESOURCE_MIN or e_rho <= TARGET_RESOURCE_MIN:
-        raise UnboundedRateError(f"cycle through a resource-free state under {measure_id}")
-    return (e_rho / e_sigma) * (e_sigma / e_rho)
+    """Single-shot exact rate; only defined for measures the registry declares additive."""
+    if not measure_spec(measure_id).additive:
+        raise ApplicabilityError(f"zero-error rate needs an additive measure, got {measure_id!r}")
+    return replace(conversion_rate(rho, sigma, measure_id, opts), zero_error=True)
 
 
 def multi_measure_bound(
     rho, sigma, measure_1: str, measure_2: str, opts: OptimizerOptions | None = None
 ) -> MultiMeasureBound:
     """Rate bounds when both measures must be monotone on the battery."""
-    v1r, v1s = _values(rho, sigma, measure_1, opts)
-    v2r, v2s = _values(rho, sigma, measure_2, opts)
+    return _multi_bound(
+        measure_1, measure_2, _values(rho, sigma, measure_1, opts), _values(rho, sigma, measure_2, opts)
+    )
+
+
+def _multi_bound(measure_1: str, measure_2: str, values_1, values_2) -> MultiMeasureBound:
+    """Forward and backward rate bounds from each measure's (rho, sigma) values."""
+    (v1r, v1s), (v2r, v2s) = values_1, values_2
 
     def bound(num1, den1, num2, den2):
         ratios = [n / d for n, d in ((num1, den1), (num2, den2)) if d > TARGET_RESOURCE_MIN]
@@ -350,11 +340,13 @@ def search_nonequivalent_pair(
     )
 
     def confirmed(rho, sigma, used: int) -> PairSearchResult | None:
-        v1r, v1s = _values(rho, sigma, measure_1, None)
-        v2r, v2s = _values(rho, sigma, measure_2, None)
+        values_1 = _values(rho, sigma, measure_1, None)
+        values_2 = _values(rho, sigma, measure_2, None)
+        (v1r, v1s), (v2r, v2s) = values_1, values_2
         if not _opposite_with_margin(v1r, v2r, v1s, v2s, margin):
             return None
-        if multi_measure_bound(rho, sigma, measure_1, measure_2).product >= 1.0 - margin:
+        bound = _multi_bound(measure_1, measure_2, values_1, values_2)
+        if bound.product >= 1.0 - margin:
             return None
         return PairSearchResult(
             rho=rho,
@@ -362,6 +354,7 @@ def search_nonequivalent_pair(
             values_rho=(v1r, v2r),
             values_sigma=(v1s, v2s),
             samples_used=used,
+            bound=bound,
         )
 
     pool: list[BipartiteState] = []
@@ -427,14 +420,7 @@ def continuity_bound_check(
     big_rho = tensor(rho, tau)
     big_sigma = tensor(sigma, tau)
     r1 = evaluate(RELATIVE_ENTROPY, big_rho, opts)
-    warm = OptimizerOptions(
-        restarts=opts.restarts,
-        max_iters=opts.max_iters,
-        tol=opts.tol,
-        seed=opts.seed,
-        warm_start=r1.certificate,
-    )
-    r2 = evaluate(RELATIVE_ENTROPY, big_sigma, warm)
+    r2 = evaluate(RELATIVE_ENTROPY, big_sigma, replace(opts, warm_start=r1.certificate))
     slack = 2.0 * measure_spec(RELATIVE_ENTROPY).value_slack
     lhs = abs(r1.value - r2.value)
     return ContinuityReport(

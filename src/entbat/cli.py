@@ -196,8 +196,7 @@ def _cmd_search_pair(args) -> int:
     print(f"samples {result.samples_used}")
     print(f"rho {_fmt(result.values_rho[0])} {_fmt(result.values_rho[1])}")
     print(f"sigma {_fmt(result.values_sigma[0])} {_fmt(result.values_sigma[1])}")
-    product = multi_measure_bound(result.rho, result.sigma, args.measure_1, args.measure_2).product
-    print(f"product {_fmt(product)}")
+    print(f"product {_fmt(result.bound.product)}")
     if args.save_rho is not None:
         save_state(result.rho, args.save_rho)
     if args.save_sigma is not None:

@@ -19,12 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .battery import swap_protocol
 from .errors import DomainError, ValidationError
-from .measures import GEOMETRIC, entanglement_cost_pure, geometric_entanglement, log_negativity
-from .states import PureSchmidtState, bell, embezzler_psi, pure_alpha
+from .measures import GEOMETRIC, entanglement_entropy, geometric_entanglement, log_negativity
+from .states import bell, embezzler_psi, pure_alpha
 
 CURVE_RATIO_ATOL = 1e-9
 ALPHA_MAX = math.pi / 4.0
@@ -78,7 +76,7 @@ def self_dilution_curve(
         alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
         state = pure_alpha(alpha).to_bipartite()
         e_n = log_negativity(state)
-        e_c = entanglement_cost_pure(state)
+        e_c = entanglement_entropy(state)
         points.append(CurvePoint(alpha=alpha, e_n=e_n, e_c=e_c, ratio=e_n / e_c))
     return points
 
@@ -127,8 +125,8 @@ def embezzlement_demo(d_list=(2, 3, 4, 5, 9, 17)) -> list[EmbezzlementRow]:
         if d < 2:
             raise DomainError(f"embezzlement table needs d >= 2, got {d}")
         psi = embezzler_psi(d)
-        e_g = geometric_entanglement(psi.to_bipartite()).value
-        entropy = _schmidt_entropy(psi)
+        e_g = geometric_entanglement(psi).value
+        entropy = entanglement_entropy(psi)
         amplification = entropy / 1.0  # singlets handed over per Bell pair consumed
         swap_checked = False
         battery_delta = None
@@ -147,11 +145,6 @@ def embezzlement_demo(d_list=(2, 3, 4, 5, 9, 17)) -> list[EmbezzlementRow]:
             )
         )
     return rows
-
-
-def _schmidt_entropy(psi: PureSchmidtState) -> float:
-    probs = psi.probs[psi.probs > 0.0]
-    return float(-(probs * np.log2(probs)).sum())
 
 
 def embezzlement_to_csv(rows: list[EmbezzlementRow]) -> str:

@@ -166,11 +166,6 @@ def entanglement_entropy(state) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def entanglement_cost_pure(state) -> float:
-    """Asymptotic cost rate for pure states; equals the reduced entropy."""
-    return entanglement_entropy(state)
-
-
 def log_negativity(state) -> float:
     """log2 of the trace norm of the partial transpose; 0 for PPT states."""
     s = _as_bipartite(state)
@@ -189,11 +184,6 @@ def squashed_upper(state) -> float:
         - von_neumann_entropy(s)
     )
     return max(0.0, 0.5 * ia_b)
-
-
-def squashed_pure(state) -> float:
-    """Squashed value on pure states, where it collapses to the reduced entropy."""
-    return entanglement_entropy(state)
 
 
 def geometric_entanglement(state) -> MeasureResult:
@@ -483,22 +473,33 @@ def relative_entropy_of_entanglement(state, opts: OptimizerOptions | None = None
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Declared properties of a measure used by battery-level logic."""
+    """Declared properties of a measure used by battery-level logic.
+
+    ``fn`` names the module function that computes the measure; aliases
+    name the same function.  It is a name, not the function, so
+    :func:`evaluate` calls whatever the module binds at call time.
+    """
 
     id: str
+    fn: str
     pure_only: bool
     additive: bool
     value_slack: float
 
 
 MEASURES: dict[str, MeasureSpec] = {
-    ENTROPY_OF_ENTANGLEMENT: MeasureSpec(ENTROPY_OF_ENTANGLEMENT, True, True, 0.0),
-    ENTANGLEMENT_COST_PURE: MeasureSpec(ENTANGLEMENT_COST_PURE, True, True, 0.0),
-    LOG_NEGATIVITY: MeasureSpec(LOG_NEGATIVITY, False, True, 0.0),
-    RELATIVE_ENTROPY: MeasureSpec(RELATIVE_ENTROPY, False, False, ER_VALUE_SLACK),
-    GEOMETRIC: MeasureSpec(GEOMETRIC, True, False, 0.0),
-    SQUASHED_UPPER: MeasureSpec(SQUASHED_UPPER, False, True, 0.0),
-    SQUASHED_PURE: MeasureSpec(SQUASHED_PURE, True, True, 0.0),
+    s.id: s
+    for s in (
+        MeasureSpec(ENTROPY_OF_ENTANGLEMENT, "entanglement_entropy", True, True, 0.0),
+        # On pure states the asymptotic cost equals the reduced entropy.
+        MeasureSpec(ENTANGLEMENT_COST_PURE, "entanglement_entropy", True, True, 0.0),
+        MeasureSpec(LOG_NEGATIVITY, "log_negativity", False, True, 0.0),
+        MeasureSpec(RELATIVE_ENTROPY, "relative_entropy_of_entanglement", False, False, ER_VALUE_SLACK),
+        MeasureSpec(GEOMETRIC, "geometric_entanglement", True, False, 0.0),
+        MeasureSpec(SQUASHED_UPPER, "squashed_upper", False, True, 0.0),
+        # So does the squashed value.
+        MeasureSpec(SQUASHED_PURE, "entanglement_entropy", True, True, 0.0),
+    )
 }
 
 
@@ -512,15 +513,8 @@ def measure_spec(measure_id: str) -> MeasureSpec:
 def evaluate(measure_id: str, state, opts: OptimizerOptions | None = None) -> MeasureResult:
     """Evaluate any registered measure, wrapping plain values in MeasureResult."""
     spec = measure_spec(measure_id)
+    fn = globals()[spec.fn]
     if spec.id == RELATIVE_ENTROPY:
-        return relative_entropy_of_entanglement(state, opts)
-    if spec.id == GEOMETRIC:
-        return geometric_entanglement(state)
-    fn = {
-        ENTROPY_OF_ENTANGLEMENT: entanglement_entropy,
-        ENTANGLEMENT_COST_PURE: entanglement_cost_pure,
-        LOG_NEGATIVITY: log_negativity,
-        SQUASHED_UPPER: squashed_upper,
-        SQUASHED_PURE: squashed_pure,
-    }[spec.id]
-    return MeasureResult(measure=spec.id, value=float(fn(state)))
+        return fn(state, opts)
+    out = fn(state)
+    return out if isinstance(out, MeasureResult) else MeasureResult(measure=spec.id, value=float(out))

@@ -55,17 +55,7 @@ class BipartiteState:
             raise ShapeError(
                 f"matrix shape {mat.shape} does not match dims ({self.dim_a}, {self.dim_b})"
             )
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > HERM_ATOL:
-            raise ValidationError(f"not Hermitian: max |m - m^dag| = {herm_defect:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"trace differs from 1: trace = {tr.real:.12g}")
-        mat = (mat + mat.conj().T) / (2.0 * tr.real)
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -PSD_ATOL:
-            raise ValidationError(f"not positive semidefinite: min eigenvalue = {lo:.3e}")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", validate_density(mat))
         if not self.factors:
             object.__setattr__(self, "factors", ((self.dim_a, self.dim_b),))
         else:
@@ -80,6 +70,28 @@ class BipartiteState:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
+
+
+def validate_density(mat: np.ndarray) -> np.ndarray:
+    """Check a square complex matrix is a density operator; return it cleaned.
+
+    Raises :class:`ValidationError` naming the violated invariant (finite
+    entries, Hermitian, unit trace, positive semidefinite).  The returned
+    matrix is exactly Hermitian with trace exactly 1.
+    """
+    if not np.isfinite(mat).all():
+        raise ValidationError("matrix has non-finite (NaN or inf) entries")
+    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm_defect > HERM_ATOL:
+        raise ValidationError(f"not Hermitian: max |m - m^dag| = {herm_defect:.3e}")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValidationError(f"trace differs from 1: trace = {tr.real:.12g}")
+    mat = (mat + mat.conj().T) / (2.0 * tr.real)
+    lo = float(np.linalg.eigvalsh(mat)[0])
+    if lo < -PSD_ATOL:
+        raise ValidationError(f"not positive semidefinite: min eigenvalue = {lo:.3e}")
+    return mat
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ValidationError
-from .qmat import BipartiteState
+from .errors import CapacityError, DomainError, ParseError, ValidationError
+from .qmat import MAX_TENSOR_DIM, BipartiteState
 
 SCHMIDT_SUM_ATOL = 1e-9
 
@@ -38,6 +38,8 @@ class PureSchmidtState:
         p = np.asarray(self.probs, dtype=float).ravel()
         if p.size == 0:
             raise ValidationError("empty Schmidt vector")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("Schmidt probabilities have non-finite (NaN or inf) entries")
         if np.any(p < -1e-12):
             raise ValidationError(f"negative Schmidt probability: min = {p.min():.3e}")
         total = float(p.sum())
@@ -51,8 +53,15 @@ class PureSchmidtState:
         return int(self.probs.size)
 
     def to_bipartite(self) -> BipartiteState:
-        """Density matrix |psi><psi| with psi = sum_i sqrt(p_i) |ii>."""
+        """Density matrix |psi><psi| with psi = sum_i sqrt(p_i) |ii>.
+
+        Raises :class:`CapacityError` when d^2 exceeds ``MAX_TENSOR_DIM``.
+        """
         d = self.dim
+        if d * d > MAX_TENSOR_DIM:
+            raise CapacityError(
+                f"pure state of Schmidt rank {d} would need dimension {d * d} > {MAX_TENSOR_DIM}"
+            )
         vec = np.zeros(d * d, dtype=complex)
         vec[np.arange(d) * d + np.arange(d)] = np.sqrt(self.probs)
         return BipartiteState(dim_a=d, dim_b=d, matrix=np.outer(vec, vec.conj()))
@@ -225,14 +234,18 @@ def state_from_dict(doc: dict) -> BipartiteState | PureSchmidtState:
     return BipartiteState(dim_a=dims[0], dim_b=dims[1], matrix=mat)
 
 
-def load_state(path: str | Path) -> BipartiteState | PureSchmidtState:
-    """Read a state file; ParseError on malformed JSON, ValidationError on bad states."""
+def _read_json(path: str | Path):
+    """Decode a JSON file; ParseError with the position on malformed text."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return state_from_dict(doc)
+
+
+def load_state(path: str | Path) -> BipartiteState | PureSchmidtState:
+    """Read a state file; ParseError on malformed JSON, ValidationError on bad states."""
+    return state_from_dict(_read_json(path))
 
 
 def save_state(state: BipartiteState | PureSchmidtState, path: str | Path) -> None:

@@ -13,14 +13,13 @@ self-dilution product F_max(rho)/F(rho) >= 1.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .battery import FEASIBLE, INFEASIBLE, SWAP_EXACTNESS_ATOL, VALUE_RTOL, ProtocolReport
+from .battery import FEASIBLE, SWAP_EXACTNESS_ATOL, ProtocolReport, _verdict
 from .errors import (
     ApplicabilityError,
     CapacityError,
@@ -34,15 +33,14 @@ from .qmat import (
     HERM_ATOL,
     LOG2,
     MAX_TENSOR_DIM,
-    PSD_ATOL,
-    TRACE_ATOL,
     BipartiteState,
     partial_trace,
     permute_factors,
     relative_entropy,
     trace_distance,
+    validate_density,
 )
-from .states import _payload_to_matrix
+from .states import _payload_to_matrix, _read_json
 
 # Off-diagonal mass above this disqualifies a state from the incoherent
 # (classical, energy-diagonal) code paths.
@@ -81,16 +79,7 @@ class ThermoState:
         d = e.size
         if mat.shape != (d, d):
             raise ShapeError(f"rho shape {mat.shape} does not match {d} energy levels")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > HERM_ATOL:
-            raise ValidationError(f"not Hermitian: max |m - m^dag| = {herm_defect:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"trace differs from 1: trace = {tr.real:.12g}")
-        mat = (mat + mat.conj().T) / (2.0 * tr.real)
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -PSD_ATOL:
-            raise ValidationError(f"not positive semidefinite: min eigenvalue = {lo:.3e}")
+        mat = validate_density(mat)
         g = _gibbs_probs(e, self.beta)
         if float(np.min(g)) <= 0.0:
             raise DomainError(
@@ -204,6 +193,11 @@ def _require_same_bath(s1: ThermoState, s2: ThermoState) -> None:
         )
 
 
+def _free_energies(s1: ThermoState, s2: ThermoState) -> tuple[float, float]:
+    _require_same_bath(s1, s2)
+    return free_energy(s1).f, free_energy(s2).f
+
+
 def thermo_feasible(s1: ThermoState, s2: ThermoState) -> str:
     """Verdict for transforming ``s1`` into ``s2`` with a free-energy battery.
 
@@ -211,11 +205,7 @@ def thermo_feasible(s1: ThermoState, s2: ThermoState) -> str:
     different Hamiltonians commensurable).  Both states must share one
     bath temperature.
     """
-    _require_same_bath(s1, s2)
-    f1 = free_energy(s1).f
-    f2 = free_energy(s2).f
-    band = VALUE_RTOL * max(1.0, abs(f1), abs(f2))
-    return FEASIBLE if f1 - f2 >= -band else INFEASIBLE
+    return _verdict(*_free_energies(s1, s2), 0.0)
 
 
 def compose(s1: ThermoState, s2: ThermoState) -> ThermoState:
@@ -240,7 +230,8 @@ def thermo_swap_protocol(s1: ThermoState, s2: ThermoState) -> ProtocolReport:
     moves from F(s2) to F(s1), which cannot be a decrease when the
     transformation is feasible.  Raises :class:`InfeasibleError` otherwise.
     """
-    if thermo_feasible(s1, s2) != FEASIBLE:
+    f1, f2 = _free_energies(s1, s2)
+    if _verdict(f1, f2, 0.0) != FEASIBLE:
         raise InfeasibleError("free energy would need to increase")
     d1, d2 = s1.dim, s2.dim
     initial = BipartiteState(dim_a=d1, dim_b=d2, matrix=np.kron(s1.rho, s2.rho))
@@ -253,8 +244,8 @@ def thermo_swap_protocol(s1: ThermoState, s2: ThermoState) -> ProtocolReport:
         initial_global=initial,
         final_global=final,
         battery_measure="free-energy",
-        e_battery_before=free_energy(s2).f,
-        e_battery_after=free_energy(s1).f,
+        e_battery_before=f2,
+        e_battery_after=f1,
         feasible=True,
         final_system_trace_distance=trace_distance(
             partial_trace(final, keep="a").matrix, s2.rho
@@ -349,6 +340,8 @@ def thermo_from_dict(doc: dict) -> ThermoState:
         if not isinstance(ham_payload, list) or not ham_payload:
             raise ParseError("hamiltonian must be a nested [re, im] matrix")
         h = _payload_to_matrix(ham_payload, len(ham_payload))
+        if not np.all(np.isfinite(h)):
+            raise ValidationError("hamiltonian has non-finite (NaN or inf) entries")
         defect = float(np.max(np.abs(h - h.conj().T)))
         if defect > HERM_ATOL:
             raise ValidationError(f"hamiltonian is not Hermitian: defect {defect:.3e}")
@@ -375,9 +368,4 @@ def thermo_from_dict(doc: dict) -> ThermoState:
 
 def load_thermo_scenario(path: str | Path) -> ThermoState:
     """Read a thermo scenario file; ParseError on malformed JSON."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return thermo_from_dict(doc)
+    return thermo_from_dict(_read_json(path))

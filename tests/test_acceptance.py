@@ -20,14 +20,13 @@ from entbat.battery import (
     conversion_rate,
     feasible,
     multi_measure_bound,
-    rate_cycle_product,
     search_nonequivalent_pair,
     swap_protocol,
 )
 from entbat.dilution import embezzlement_demo, self_dilution_curve
 from entbat.measures import (
     OptimizerOptions,
-    entanglement_cost_pure,
+    entanglement_entropy,
     log_negativity,
     relative_entropy_of_entanglement,
 )
@@ -105,7 +104,7 @@ def test_c02_self_dilution_curve():
 
     def ratio_at(alpha):
         s = pure_alpha(alpha).to_bipartite()
-        return log_negativity(s) / entanglement_cost_pure(s)
+        return log_negativity(s) / entanglement_entropy(s)
 
     ok = ok and ratio_at(0.01) > ratio_at(0.1) > ratio_at(0.5)
     elapsed = time.monotonic() - t0
@@ -133,22 +132,21 @@ def test_c03_swap_mechanics_on_random_pairs():
 
     ok = True
     for rho, sigma, measure in pairs:
-        e_rho = (log_negativity if measure == LOG_NEG else entanglement_cost_pure)(rho)
-        e_sigma = (log_negativity if measure == LOG_NEG else entanglement_cost_pure)(sigma)
+        e_rho = (log_negativity if measure == LOG_NEG else entanglement_entropy)(rho)
+        e_sigma = (log_negativity if measure == LOG_NEG else entanglement_entropy)(sigma)
         want = FEASIBLE if e_rho >= e_sigma else INFEASIBLE
         ok = ok and feasible(rho, sigma, measure) == want
         src, dst = (rho, sigma) if e_rho >= e_sigma else (sigma, rho)
         rep = swap_protocol(src, dst, measure)
         ok = ok and rep.final_system_trace_distance <= 1e-12
         ok = ok and rep.e_battery_after >= rep.e_battery_before - 1e-12
-        ok = ok and abs(rate_cycle_product(rho, sigma, measure) - 1.0) <= 1e-12
         if not ok:
             break
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
     report(
         "swap mechanics: verdict = value ordering, exact system delivery, "
-        "battery never drops, cycle product 1 (100 pure + 100 mixed pairs)",
+        "battery never drops (100 pure + 100 mixed pairs)",
         ok,
         f"{elapsed:.1f}s",
     )

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from entbat import battery, cli
 from entbat.battery import (
-    ADDITIVE_RATE_MEASURES,
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
@@ -19,7 +19,6 @@ from entbat.battery import (
     conversion_rate,
     feasible,
     multi_measure_bound,
-    rate_cycle_product,
     resource_balance_check,
     search_nonequivalent_pair,
     swap_protocol,
@@ -33,12 +32,11 @@ from entbat.errors import (
     UnboundedRateError,
     ValidationError,
 )
-from entbat.measures import OptimizerOptions, evaluate
+from entbat.measures import OptimizerOptions, evaluate, measure_spec
 from entbat.qmat import permute_factors, trace_distance
 from entbat.states import (
     PureSchmidtState,
     bell,
-    maximally_correlated_lami,
     maximally_mixed,
     product_pure,
     pure_alpha,
@@ -204,24 +202,21 @@ class TestZeroError:
         assert (plan.m, plan.n) == (base.m, base.n)
 
     def test_declared_measures_only(self):
-        assert GEOMETRIC not in ADDITIVE_RATE_MEASURES
-        with pytest.raises(ApplicabilityError, match="additive measure"):
-            zero_error_rate(bell(), pure_alpha(0.5), GEOMETRIC)
+        assert not measure_spec(GEOMETRIC).additive
+        for measure in (GEOMETRIC, REL_ENT):
+            with pytest.raises(ApplicabilityError, match="additive measure"):
+                zero_error_rate(bell(), pure_alpha(0.5), measure)
+
+    def test_squashed_measures_are_additive(self):
+        # half the mutual information adds over tensor products
+        base = conversion_rate(bell(), pure_alpha(0.5), ENTROPY)
+        for measure in ("squashed-upper", "squashed-pure"):
+            plan = zero_error_rate(bell(), pure_alpha(0.5), measure)
+            assert plan.zero_error
+            assert (plan.m, plan.n) == (base.m, base.n)
 
 
 class TestCycleAndMultiMeasure:
-    def test_cycle_product_is_one(self):
-        assert_allclose(rate_cycle_product(bell(), pure_alpha(0.5), ENTROPY), 1.0, atol=1e-12)
-
-    def test_cycle_through_free_state_is_unbounded(self):
-        with pytest.raises(UnboundedRateError):
-            rate_cycle_product(bell(), product_pure(2, 2), ENTROPY)
-
-    def test_cycle_with_optimizer_measure(self):
-        # each state is evaluated once, so the product collapses exactly
-        got = rate_cycle_product(maximally_correlated_lami(), bell(), REL_ENT, QUICK)
-        assert_allclose(got, 1.0, atol=1e-12)
-
     def test_equal_states_give_unit_product(self):
         b = multi_measure_bound(bell(), bell(), ENTROPY, LOG_NEG)
         assert_allclose((b.r_forward, b.r_backward, b.product), (1.0, 1.0, 1.0), atol=1e-12)
@@ -256,6 +251,10 @@ class TestPairSearch:
         res = search_nonequivalent_pair(LOG_NEG, "squashed-upper", seed=0)
         assert_allclose(evaluate(LOG_NEG, res.rho).value, res.values_rho[0], atol=1e-12)
         assert_allclose(evaluate("squashed-upper", res.sigma).value, res.values_sigma[1], atol=1e-12)
+        bound = multi_measure_bound(res.rho, res.sigma, LOG_NEG, "squashed-upper")
+        assert (res.bound.r_forward, res.bound.r_backward, res.bound.product) == (
+            bound.r_forward, bound.r_backward, bound.product
+        )
 
     def test_identically_ordered_measures_exhaust(self):
         with pytest.raises(SearchExhaustedError, match="no oppositely ordered pair"):
@@ -306,3 +305,47 @@ class TestResourceBalance:
         rep = swap_protocol(bell(), pure_alpha(0.4), GEOMETRIC)
         with pytest.raises(ApplicabilityError, match="additive"):
             resource_balance_check(rep)
+
+
+class TestEvaluateOnce:
+    """Each (state, measure) value of a battery call chain is computed once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(measure_id, state, opts=None):
+            seen.append((measure_id, opts))
+            return evaluate(measure_id, state, opts)
+
+        monkeypatch.setattr(battery, "evaluate", counting)
+        return seen
+
+    def test_swap_evaluates_each_state_once(self, calls):
+        rep = swap_protocol(werner(0.9), werner(0.7), REL_ENT, QUICK)
+        assert calls == [(REL_ENT, QUICK)] * 2
+        assert rep.e_battery_after > rep.e_battery_before
+
+    def test_search_confirms_with_two_evaluations_per_measure(self, calls):
+        res = search_nonequivalent_pair(LOG_NEG, REL_ENT, seed=0)
+        # screening: one evaluation per measure and sample, REE at the screening budget
+        assert calls.count((REL_ENT, battery.SEARCH_SCREEN_OPTS)) == res.samples_used
+        assert calls.count((REL_ENT, None)) == 2
+        assert calls.count((LOG_NEG, None)) == res.samples_used + 2
+        assert len(calls) == 2 * res.samples_used + 4
+
+    def test_cli_search_pair_evaluates_nothing_after_the_search(self, calls, monkeypatch, capsys):
+        returned_at = []
+
+        def search(*args, **kwargs):
+            res = search_nonequivalent_pair(*args, **kwargs)
+            returned_at.append(len(calls))
+            return res
+
+        monkeypatch.setattr(cli, "search_nonequivalent_pair", search)
+        argv = ["search-pair", "--measure-1", LOG_NEG, "--measure-2", "squashed-upper", "--seed", "0"]
+        code = cli.main(argv)
+        assert code == 0
+        assert returned_at == [len(calls)]
+        product = float(capsys.readouterr().out.splitlines()[-1].split()[1])
+        assert product < 1.0 - 1e-3

@@ -369,6 +369,27 @@ class TestErrorReporting:
         assert code == 1
         assert err.startswith("error: validation: not positive semidefinite")
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_entry_is_validation_error(self, capsys, tmp_path, d):
+        # json writes NaN as a bare literal, which the loader accepts
+        payload = [[[0.0, 0.0]] * (d * d) for _ in range(d * d)]
+        payload[0] = [[math.nan, 0.0]] * (d * d)
+        doc = {"kind": "matrix", "dims": [d, d], "payload": payload}
+        path = tmp_path / "nan_state.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "measure", "--measure", "log-negativity", "--state", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: validation:")
+
+    def test_nan_thermo_scenario_is_validation_error(self, capsys, scenario_file):
+        doc = {"beta": 1.0, "energies": [0.0, 1.0], "rho": [[[math.nan, 0.0]] * 2] * 2}
+        path = scenario_file("nan.json", doc)
+        code, _, err = run_cli(capsys, "thermo", "f-max", "--scenario", path)
+        assert code == 1
+        assert err.startswith("error: validation:")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])

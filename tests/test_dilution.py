@@ -145,6 +145,13 @@ class TestEmbezzlementDemo:
         with pytest.raises(DomainError, match="d >= 2"):
             embezzlement_demo((1,))
 
+    def test_large_d_uses_closed_forms(self):
+        # d = 65 is past the cap of PureSchmidtState.to_bipartite
+        (row,) = embezzlement_demo((65,))
+        assert abs(row.e_g - 0.5) <= 1e-12
+        assert_allclose(row.entropy, embezzler_entropy(65), atol=1e-12)
+        assert not row.swap_checked
+
 
 class TestEmbezzlementCsv:
     def test_format(self):

@@ -23,7 +23,6 @@ from entbat.measures import (
     SeparableAnsatz,
     ansatz_objective,
     dephasing_upper_bound,
-    entanglement_cost_pure,
     entanglement_entropy,
     evaluate,
     geometric_entanglement,
@@ -31,7 +30,6 @@ from entbat.measures import (
     measure_spec,
     product_overlap,
     relative_entropy_of_entanglement,
-    squashed_pure,
     squashed_upper,
 )
 from entbat.measures import _local_gradients, _product_vectors, _weight_gradient
@@ -91,11 +89,11 @@ class TestPureStateMeasures:
 
     def test_cost_equals_entropy_on_pure_states(self):
         psi = random_schmidt(5, rng_for(3))
-        assert entanglement_cost_pure(psi) == entanglement_entropy(psi)
+        assert evaluate(ENTANGLEMENT_COST_PURE, psi).value == entanglement_entropy(psi)
 
     def test_squashed_pure_equals_entropy(self):
         psi = random_schmidt(3, rng_for(4))
-        assert squashed_pure(psi) == entanglement_entropy(psi)
+        assert evaluate(SQUASHED_PURE, psi).value == entanglement_entropy(psi)
 
     def test_mixed_input_rejected(self):
         with pytest.raises(ApplicabilityError, match="pure states only"):
@@ -438,4 +436,4 @@ class TestRegistryAndDispatch:
 
     def test_evaluate_cost_pure(self):
         psi = random_schmidt(2, rng_for(13))
-        assert evaluate(ENTANGLEMENT_COST_PURE, psi).value == entanglement_cost_pure(psi)
+        assert evaluate(ENTANGLEMENT_COST_PURE, psi).value == entanglement_entropy(psi)

@@ -50,6 +50,17 @@ class TestBipartiteState:
         with pytest.raises(ShapeError):
             BipartiteState(2, 3, np.eye(4, dtype=complex) / 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.25, math.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            BipartiteState(1, 1, np.array([[bad]], dtype=complex))
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            BipartiteState(2, 2, m)
+        with pytest.raises(ValidationError, match="non-finite"):
+            BipartiteState(2, 2, np.full((4, 4), bad, dtype=complex))
+
     def test_trace_renormalized(self):
         m = np.eye(4, dtype=complex) * (0.25 + 2e-10)
         s = BipartiteState(2, 2, m)

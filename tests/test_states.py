@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entbat.errors import DomainError, ParseError, ValidationError
+from entbat.errors import CapacityError, DomainError, ParseError, ValidationError
 from entbat.qmat import partial_trace, von_neumann_entropy
 from entbat.states import (
     PureSchmidtState,
@@ -43,6 +43,16 @@ class TestPureSchmidtState:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             PureSchmidtState(np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [math.inf, 0.5], [0.5, 0.5, -math.inf]])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValidationError, match="non-finite"):
+            PureSchmidtState(np.array(probs))
+
+    def test_to_bipartite_is_capped(self):
+        # d = 65 needs dimension 4225 > MAX_TENSOR_DIM; refused before allocating
+        with pytest.raises(CapacityError, match="4225"):
+            embezzler_psi(65).to_bipartite()
 
     def test_to_bipartite_is_pure_with_matching_schmidt(self):
         s = PureSchmidtState(np.array([0.6, 0.3, 0.1]))

@@ -95,6 +95,11 @@ class TestThermoState:
         with pytest.raises(ValidationError, match="positive semidefinite"):
             ThermoState(rho=m, energies=np.array([0.0, 1.0]), beta=1.0)
 
+    def test_rejects_non_finite_rho(self):
+        for m in (np.diag([math.nan, 0.5]), np.full((3, 3), math.nan), np.diag([math.inf, 0.0])):
+            with pytest.raises(ValidationError, match="non-finite"):
+                ThermoState(rho=m.astype(complex), energies=np.arange(m.shape[0], dtype=float), beta=1.0)
+
     def test_rejects_singular_gibbs_state(self):
         with pytest.raises(DomainError, match="singular"):
             qubit(0.5, energies=(0.0, 5000.0))
@@ -395,6 +400,13 @@ class TestScenarioIO:
         h = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         with pytest.raises(ValidationError, match="Hermitian"):
             thermo_from_dict({"beta": 1.0, "hamiltonian": h, "rho": [0.5, 0.5]})
+
+    def test_non_finite_scenario_entries(self):
+        h = [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        with pytest.raises(ValidationError, match="non-finite"):
+            thermo_from_dict({"beta": 1.0, "hamiltonian": h, "rho": [0.5, 0.5]})
+        with pytest.raises(ValidationError, match="non-finite"):
+            thermo_from_dict({"beta": 1.0, "energies": [0.0, 1.0], "rho": [math.nan, 0.5]})
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"
