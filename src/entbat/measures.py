@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ApplicabilityError, CapacityError, DomainError, ShapeError, ValidationError
 from .qmat import (
-    EIG_CUTOFF,
     BipartiteState,
+    _entropy_of_probs,
     partial_trace,
     partial_transpose,
     trace_norm,
@@ -132,8 +132,13 @@ def _as_bipartite(state) -> BipartiteState:
     raise ShapeError(f"expected a state, got {type(state).__name__}")
 
 
-def _purity(s: BipartiteState) -> float:
-    return float(np.real(np.trace(s.matrix @ s.matrix)))
+def _pure_bipartite(state, what: str) -> BipartiteState:
+    """The state as a BipartiteState; ApplicabilityError when it is mixed."""
+    s = _as_bipartite(state)
+    purity = float(np.real(np.trace(s.matrix @ s.matrix)))
+    if abs(purity - 1.0) > PURITY_ATOL:
+        raise ApplicabilityError(f"{what} for pure states only; Tr rho^2 = {purity:.12g}")
+    return s
 
 
 def _schmidt_probs(state) -> np.ndarray:
@@ -143,12 +148,7 @@ def _schmidt_probs(state) -> np.ndarray:
     """
     if isinstance(state, PureSchmidtState):
         return state.probs
-    s = _as_bipartite(state)
-    purity = _purity(s)
-    if abs(purity - 1.0) > PURITY_ATOL:
-        raise ApplicabilityError(
-            f"measure is defined for pure states only; Tr rho^2 = {purity:.12g}"
-        )
+    s = _pure_bipartite(state, "measure is defined")
     vals = np.linalg.eigvalsh(partial_trace(s, "a").matrix)
     vals = np.clip(vals, 0.0, None)
     return np.sort(vals)[::-1] / float(vals.sum())
@@ -161,9 +161,7 @@ def _pure_vector(s: BipartiteState) -> np.ndarray:
 
 def entanglement_entropy(state) -> float:
     """Reduced-state entropy of a pure state, in bits."""
-    p = _schmidt_probs(state)
-    p = p[p > EIG_CUTOFF]
-    return float(-np.sum(p * np.log2(p)))
+    return _entropy_of_probs(_schmidt_probs(state))
 
 
 def log_negativity(state) -> float:
@@ -196,12 +194,7 @@ def geometric_entanglement(state) -> MeasureResult:
         ea[i0] = 1.0
         cert = ProductCertificate(vec_a=ea, vec_b=ea.copy())
         return MeasureResult(measure=GEOMETRIC, value=float(1.0 - p[i0]), certificate=cert)
-    s = _as_bipartite(state)
-    purity = _purity(s)
-    if abs(purity - 1.0) > PURITY_ATOL:
-        raise ApplicabilityError(
-            f"geometric measure implemented for pure states only; Tr rho^2 = {purity:.12g}"
-        )
+    s = _pure_bipartite(state, "geometric measure implemented")
     psi = _pure_vector(s)
     m = psi.reshape(s.dim_a, s.dim_b)
     u, sv, vh = np.linalg.svd(m)
@@ -290,29 +283,39 @@ def ansatz_objective(state, ansatz: SeparableAnsatz) -> float:
     return _floored_kl(s.matrix, -von_neumann_entropy(s), ansatz.weights, v)[0]
 
 
+def _dephasings(s: BipartiteState):
+    """rho's weights on the computational and the local-eigenbasis product bases.
+
+    Each is ``(weights, rows_a, rows_b)``: term i is |a_i b_i> with weight
+    <a_i b_i|rho|a_i b_i>, clipped at 0.  Dephasing in a product basis
+    yields a separable state, so both are optimizer starts and both bound
+    the measure.
+    """
+    da, db = s.dim_a, s.dim_b
+    bases = (
+        (np.eye(da, dtype=complex), np.eye(db, dtype=complex)),
+        tuple(np.linalg.eigh(partial_trace(s, keep).matrix)[1] for keep in ("a", "b")),
+    )
+    out = []
+    for ua, ub in bases:
+        rows_a = np.repeat(ua.T, db, axis=0)
+        rows_b = np.tile(ub.T, (da, 1))
+        w = _quad_diag(s.matrix, _product_vectors(rows_a, rows_b).T)
+        out.append((np.clip(w, 0.0, None), rows_a, rows_b))
+    return out
+
+
 def dephasing_upper_bound(state) -> float:
     """Cheap upper bound on the relative-entropy measure.
 
-    Dephasing in a product basis yields a separable state, so
-    S(rho || Delta(rho)) bounds the measure from above; the better of the
-    computational and local-eigenbasis dephasings is returned.  Useful for
-    screening before running the optimizer.
+    S(rho || Delta(rho)) for a product-basis dephasing Delta; the better of
+    the computational and local-eigenbasis dephasings is returned.  Useful
+    for screening before running the optimizer.
     """
     s = _as_bipartite(state)
-    rho = s.matrix
     s_rho = von_neumann_entropy(s)
-
-    def dephased_entropy(diag: np.ndarray) -> float:
-        d = np.clip(np.real(diag), 0.0, None)
-        d = d[d > EIG_CUTOFF]
-        return float(-np.sum(d * np.log2(d)))
-
-    v1 = dephased_entropy(np.diag(rho)) - s_rho
-    _, ua = np.linalg.eigh(partial_trace(s, "a").matrix)
-    _, ub = np.linalg.eigh(partial_trace(s, "b").matrix)
-    u = np.kron(ua, ub)
-    v2 = dephased_entropy(_quad_diag(rho, u)) - s_rho
-    return max(0.0, min(v1, v2))
+    bounds = [_entropy_of_probs(w) - s_rho for w, _, _ in _dephasings(s)]
+    return max(0.0, min(bounds))
 
 
 def _descend(rho, c_rho, w, a, b, max_iters, tol):
@@ -375,59 +378,37 @@ def _descend(rho, c_rho, w, a, b, max_iters, tol):
     return f, w, a, b, iters, converged
 
 
-def _init_from_basis(weights, rows_a, rows_b, k, da, db, rng):
-    """Pad a diagonal (dephased) start with zero-weight random terms up to k."""
-    n0 = rows_a.shape[0]
-    a = np.empty((k, da), dtype=complex)
-    b = np.empty((k, db), dtype=complex)
-    a[:n0] = rows_a
-    b[:n0] = rows_b
-    if k > n0:
-        a[n0:] = _normalize_rows(rng.standard_normal((k - n0, da)) + 1j * rng.standard_normal((k - n0, da)))
-        b[n0:] = _normalize_rows(rng.standard_normal((k - n0, db)) + 1j * rng.standard_normal((k - n0, db)))
-    w = np.zeros(k)
-    total = float(np.sum(np.clip(weights, 0.0, None)))
-    w[:n0] = np.clip(weights, 0.0, None) / total
-    return w, a, b
+def _initial_points(s: BipartiteState, restarts: int, seed: int):
+    """Deterministic list of optimizer starts: two dephasings, then random.
 
-
-def _initial_points(s: BipartiteState, k: int, restarts: int, seed: int):
-    """Deterministic list of optimizer starts: two dephasings, then random."""
-    da, db = s.dim_a, s.dim_b
-    rho = s.matrix
+    A dephasing start keeps only its terms of positive weight: the
+    multiplicative weight update never revives a zero weight.  Random
+    starts mix k = (dA*dB)^2 product terms.
+    """
+    if restarts < 1:
+        return []
     starts = []
-
-    rng = np.random.default_rng((seed, 0))
-    rows_a = np.repeat(np.eye(da, dtype=complex), db, axis=0)
-    rows_b = np.tile(np.eye(db, dtype=complex), (da, 1))
-    starts.append(_init_from_basis(np.real(np.diag(rho)), rows_a, rows_b, k, da, db, rng))
-
-    if len(starts) < restarts:
-        rng = np.random.default_rng((seed, 1))
-        _, ua = np.linalg.eigh(partial_trace(s, "a").matrix)
-        _, ub = np.linalg.eigh(partial_trace(s, "b").matrix)
-        rows_a = np.repeat(ua.T, db, axis=0)
-        rows_b = np.tile(ub.T, (da, 1))
-        wts = _quad_diag(rho, _product_vectors(rows_a, rows_b).T)
-        starts.append(_init_from_basis(wts, rows_a, rows_b, k, da, db, rng))
-
-    idx = 2
-    while len(starts) < restarts:
+    for w, a, b in _dephasings(s)[:restarts]:
+        live = w > 0.0
+        starts.append((w[live] / w.sum(), a[live], b[live]))
+    da, db = s.dim_a, s.dim_b
+    k = (da * db) ** 2
+    for idx in range(2, restarts):
         rng = np.random.default_rng((seed, idx))
         w = rng.dirichlet(np.ones(k))
         a = _normalize_rows(rng.standard_normal((k, da)) + 1j * rng.standard_normal((k, da)))
         b = _normalize_rows(rng.standard_normal((k, db)) + 1j * rng.standard_normal((k, db)))
         starts.append((w, a, b))
-        idx += 1
-    return starts[:restarts]
+    return starts
 
 
 def relative_entropy_of_entanglement(state, opts: OptimizerOptions | None = None) -> MeasureResult:
     """Upper bound on the relative entropy of entanglement.
 
-    Multi-start alternating descent over mixtures of k = (dA*dB)^2 product
-    pure states; the best run wins, ties broken by restart index.  The
-    returned certificate reproduces the value through
+    Multi-start alternating descent over mixtures of product pure states:
+    the dephasing starts carry their positive-weight basis terms, random
+    starts k = (dA*dB)^2 terms.  The best run wins, ties broken by restart
+    index.  The returned certificate reproduces the value through
     :func:`ansatz_objective`.
     """
     opts = opts or OptimizerOptions()
@@ -436,7 +417,6 @@ def relative_entropy_of_entanglement(state, opts: OptimizerOptions | None = None
     s = _as_bipartite(state)
     if s.dim > ER_MAX_DIM:
         raise CapacityError(f"relative-entropy optimizer capped at dimension {ER_MAX_DIM}, got {s.dim}")
-    k = (s.dim_a * s.dim_b) ** 2
     rho = s.matrix
     c_rho = -von_neumann_entropy(s)
 
@@ -446,7 +426,7 @@ def relative_entropy_of_entanglement(state, opts: OptimizerOptions | None = None
         if ws.dims != (s.dim_a, s.dim_b):
             raise ShapeError(f"warm start dims {ws.dims} do not match state ({s.dim_a}, {s.dim_b})")
         starts.append((ws.weights.copy(), ws.vecs_a.copy(), ws.vecs_b.copy()))
-    starts.extend(_initial_points(s, k, opts.restarts, opts.seed))
+    starts.extend(_initial_points(s, opts.restarts, opts.seed))
 
     best = None
     total_iters = 0

@@ -46,6 +46,10 @@ from .states import _payload_to_matrix, _read_json
 # (classical, energy-diagonal) code paths.
 INCOHERENT_ATOL = 1e-9
 
+# Hamiltonian eigenvalues this close to their neighbour count as one
+# degenerate energy level.
+DEGENERATE_ATOL = 1e-9
+
 # Populations this close to the Gibbs weights count as "at equilibrium"
 # for the self-dilution ratios, whose denominator vanishes there.
 GIBBS_ATOL = 1e-12
@@ -312,8 +316,9 @@ def thermo_from_dict(doc: dict) -> ThermoState:
 
     The document carries ``beta``, a ``rho`` that is either a flat list
     of populations or a nested [re, im] matrix, and either ``energies``
-    (diagonal Hamiltonian) or a full ``hamiltonian`` matrix, which is
-    rotated to its eigenbasis together with ``rho``.
+    (diagonal Hamiltonian, whose basis is kept) or a full ``hamiltonian``
+    matrix, which is rotated to its eigenbasis together with ``rho``; inside
+    a degenerate eigenspace that basis diagonalizes ``rho``.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"thermo scenario must be an object, got {type(doc).__name__}")
@@ -363,6 +368,14 @@ def thermo_from_dict(doc: dict) -> ThermoState:
         rho = _payload_to_matrix(rho_payload, d)
     if basis is not None:
         rho = basis.conj().T @ rho @ basis
+        # eigh picks an arbitrary basis inside a degenerate eigenspace, where a
+        # state commuting with H can look coherent: diagonalize rho's block there.
+        edges = np.flatnonzero(np.diff(energies) > DEGENERATE_ATOL) + 1
+        for blk in np.split(np.arange(d), edges):
+            if blk.size > 1:
+                v = np.linalg.eigh(rho[np.ix_(blk, blk)])[1]
+                rho[:, blk] = rho[:, blk] @ v
+                rho[blk, :] = v.conj().T @ rho[blk, :]
     return ThermoState(rho=rho, energies=energies, beta=float(beta))
 
 

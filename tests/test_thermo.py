@@ -18,6 +18,7 @@ from entbat.errors import (
     ValidationError,
 )
 from entbat.qmat import permute_factors
+from entbat.states import _matrix_to_payload
 from entbat.thermo import (
     RELATIVE_TO_GIBBS,
     STANDARD_OFFSET,
@@ -371,6 +372,42 @@ class TestScenarioIO:
             rho=np.diag([0.0, 1.0]).astype(complex), energies=np.array([-0.5, 0.5]), beta=1.0
         )
         assert_allclose(free_energy(s).f, free_energy(direct).f, atol=1e-12)
+
+    # H = diag(0, 1, 1); rho is coherent only inside the degenerate level.
+    DEGENERATE_H = _matrix_to_payload(np.diag([0.0, 1.0, 1.0]))
+    BLOCK_COHERENT_RHO = np.array([[0.5, 0.0, 0.0], [0.0, 0.25, 0.1], [0.0, 0.1, 0.25]], dtype=complex)
+    BLOCK_COHERENT = _matrix_to_payload(BLOCK_COHERENT_RHO)
+
+    def test_degenerate_hamiltonian_block_is_diagonalized(self):
+        doc = {"beta": 1.0, "hamiltonian": self.DEGENERATE_H, "rho": self.BLOCK_COHERENT}
+        s = thermo_from_dict(doc)
+        assert_allclose(s.energies, [0.0, 1.0, 1.0], atol=1e-12)
+        assert_allclose(incoherent_probs(s), [0.5, 0.15, 0.35], atol=1e-12)
+        direct = ThermoState(
+            rho=np.diag([0.5, 0.15, 0.35]).astype(complex), energies=np.array([0.0, 1.0, 1.0]), beta=1.0
+        )
+        assert_allclose(renyi_free_energy(s, 2).f, renyi_free_energy(direct, 2).f, atol=1e-12)
+
+    def test_degenerate_rotation_keeps_free_energies(self):
+        doc = {"beta": 0.7, "hamiltonian": self.DEGENERATE_H, "rho": self.BLOCK_COHERENT}
+        s = thermo_from_dict(doc)
+        unrotated = ThermoState(rho=self.BLOCK_COHERENT_RHO, energies=np.array([0.0, 1.0, 1.0]), beta=0.7)
+        for variant in (STANDARD_OFFSET, RELATIVE_TO_GIBBS):
+            assert_allclose(free_energy(s, variant).f, free_energy(unrotated, variant).f, atol=1e-12)
+        assert_allclose(f_max(s).f, f_max(unrotated).f, atol=1e-12)
+
+    def test_coherence_between_energies_still_rejected(self):
+        rho = np.array([[0.5, 0.1, 0.0], [0.1, 0.25, 0.0], [0.0, 0.0, 0.25]], dtype=complex)
+        s = thermo_from_dict({"beta": 1.0, "hamiltonian": self.DEGENERATE_H, "rho": _matrix_to_payload(rho)})
+        with pytest.raises(ApplicabilityError, match="coherences"):
+            renyi_free_energy(s, 2)
+
+    def test_energies_branch_keeps_the_given_basis(self):
+        doc = {"beta": 1.0, "energies": [0.0, 1.0, 1.0], "rho": self.BLOCK_COHERENT}
+        s = thermo_from_dict(doc)
+        assert_allclose(s.rho, self.BLOCK_COHERENT_RHO, atol=1e-15)
+        with pytest.raises(ApplicabilityError, match="coherences"):
+            renyi_free_energy(s, 2)
 
     def test_missing_beta(self):
         with pytest.raises(ParseError, match="beta"):
